@@ -112,6 +112,7 @@ committed full-matrix ones, so the gate only fires on real regressions.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import pathlib
 import sys
@@ -122,9 +123,11 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.cfg import build_cfg  # noqa: E402
+from repro.cfg import build_cfg, build_program_cfg, parse_program  # noqa: E402
+from repro.core.annotations import CompiledMonoidAlgebra, MonoidAlgebra  # noqa: E402
 from repro.core.budget import Budget  # noqa: E402
 from repro.core.persist import dump_solver, load_solver  # noqa: E402
+from repro.core.solver import Solver  # noqa: E402
 from repro.dataflow import AnnotatedBitVectorAnalysis  # noqa: E402
 from repro.dataflow.problems import call_tracking_problem  # noqa: E402
 from repro.flow import FlowAnalysis  # noqa: E402
@@ -132,7 +135,9 @@ from repro.dfa.gallery import privilege_machine  # noqa: E402
 from repro.incremental import StableCheck  # noqa: E402
 from repro.modelcheck import AnnotatedChecker, full_privilege_property  # noqa: E402
 from repro.modelcheck.properties import simple_privilege_property  # noqa: E402
+from repro.mops import MopsChecker  # noqa: E402
 from repro.synth import (  # noqa: E402
+    TABLE1_PACKAGES,
     PackageSpec,
     cycle_chain,
     edit_stream,
@@ -213,6 +218,106 @@ def _median(samples: list[float]) -> float:
     if len(ordered) % 2:
         return ordered[mid]
     return (ordered[mid - 1] + ordered[mid]) / 2
+
+
+def _table1_specs(quick: bool) -> list[PackageSpec]:
+    """Table 1's packages as the repository benchmark runs them: the two
+    large ones at 1/10 scale (quick: every package at a quarter of that)."""
+    specs = []
+    for spec in TABLE1_PACKAGES:
+        factor = 10 if spec.target_lines > 100_000 else 1
+        if quick:
+            factor *= 4
+        specs.append(
+            PackageSpec(
+                spec.name,
+                spec.target_lines // factor,
+                max(8, spec.n_functions // factor),
+                seed=spec.seed,
+                violation=spec.violation,
+            )
+        )
+    return specs
+
+
+def _verdict(source: str, checker_class, prop) -> tuple[dict[str, float], Any, Any]:
+    """Source to verdict through ``checker_class(cfg, prop).check()``,
+    phase by phase (for post* ``solve`` is the PDA build and ``query``
+    the saturation)."""
+    t0 = time.perf_counter()
+    program = parse_program(source)
+    t1 = time.perf_counter()
+    cfg = build_program_cfg(program)
+    t2 = time.perf_counter()
+    checker = checker_class(cfg, prop)
+    t3 = time.perf_counter()
+    result = checker.check()
+    t4 = time.perf_counter()
+    phases = {"parse": t1 - t0, "cfg": t2 - t1, "solve": t3 - t2, "query": t4 - t3}
+    return phases, checker, result
+
+
+def run_table1(quick: bool, repeats: int) -> dict[str, dict]:
+    """The ``table1_*`` family: Table 1 source to verdict, annotated vs post*.
+
+    One row per package.  ``wall_s`` is the best-of-``repeats``
+    annotated source-to-verdict time (parse, CFG, encode+solve, verdict
+    query) through ``AnnotatedChecker``'s defaults; ``poststar_s`` is
+    the same path through ``MopsChecker``, measured alternately with it
+    so drift hits both.  ``phases`` / ``poststar_phases`` split the best
+    run of each, and ``annotated_over_poststar`` is ``wall_s /
+    poststar_s`` (below 1: the annotated checker wins).  The canonical
+    fact count is taken after the timed region (the verdict never
+    computes it; ``CheckResult.facts`` counts on first read).  Asserted
+    per row: the annotated violation nodes equal post*'s error nodes and
+    the verdict equals the seeded one.  Crossing post* is reported, not
+    gated.
+    """
+    prop = full_privilege_property()
+    results: dict[str, dict] = {}
+    for spec in _table1_specs(quick):
+        source = generate_package(spec)
+        best: tuple[float, dict] | None = None
+        best_post: tuple[float, dict] | None = None
+        for _ in range(repeats):
+            # Each path starts from a collected heap, as a fresh process
+            # would; the collections are outside the timed region.
+            gc.collect()
+            phases, checker, result = _verdict(source, AnnotatedChecker, prop)
+            total = sum(phases.values())
+            if best is None or total < best[0]:
+                best = (total, phases)
+            annotated = {v.node.id for v in result.violations}
+            has_violation = result.has_violation
+            facts = result.facts
+            compositions = checker.solver.stats.compositions
+            del checker, result
+            gc.collect()
+            post_phases, _mops, baseline = _verdict(source, MopsChecker, prop)
+            post_total = sum(post_phases.values())
+            if best_post is None or post_total < best_post[0]:
+                best_post = (post_total, post_phases)
+            error_nodes = {n.id for n in baseline.error_nodes}
+            del _mops, baseline
+        assert annotated == error_nodes, (
+            f"table1 {spec.name}: annotated and post* violation sets differ"
+        )
+        assert has_violation == spec.violation, (
+            f"table1 {spec.name}: verdict differs from the seeded one"
+        )
+        results[f"table1_{spec.name.split('-')[0]}"] = {
+            "wall_s": round(best[0], 4),
+            "facts": facts,
+            "compositions": compositions,
+            "ratio": round(compositions / facts, 4) if facts else 0.0,
+            "lines": source.count("\n"),
+            "violations": len(annotated),
+            "poststar_s": round(best_post[0], 4),
+            "annotated_over_poststar": round(best[0] / best_post[0], 3),
+            "phases": {k: round(v, 4) for k, v in best[1].items()},
+            "poststar_phases": {k: round(v, 4) for k, v in best_post[1].items()},
+        }
+    return results
 
 
 def run_edit_stream(quick: bool) -> dict[str, dict]:
@@ -412,15 +517,13 @@ def run_sharded(cfg, prop, quick: bool) -> dict[str, dict]:
     strictly fewer frontier edges than round-robin at k=4, and both
     placements must canonicalize to the unsharded solver's solved form.
     """
-    reference = AnnotatedChecker(cfg, prop, compiled=True, flat=True)
+    reference = AnnotatedChecker(cfg, prop)
     reference.check()
     unsharded_form = set(reference.solver.canonical_facts())
 
     def solve(shards: int, partition: str) -> tuple[dict, Any]:
         start = time.perf_counter()
-        checker = AnnotatedChecker(
-            cfg, prop, compiled=True, shards=shards, partition=partition
-        )
+        checker = AnnotatedChecker(cfg, prop, shards=shards, partition=partition)
         checker.check()
         wall = time.perf_counter() - start
         solution = checker.sharded
@@ -557,7 +660,7 @@ def run_saturation_shm(cfg, prop, quick: bool) -> dict[str, dict]:
 
     from repro.core import shm
 
-    reference = AnnotatedChecker(cfg, prop, compiled=True, flat=True)
+    reference = AnnotatedChecker(cfg, prop)
     reference.check()
     unsharded_form = set(reference.solver.canonical_facts())
 
@@ -580,7 +683,6 @@ def run_saturation_shm(cfg, prop, quick: bool) -> dict[str, dict]:
                     checker = AnnotatedChecker(
                         cfg,
                         prop,
-                        compiled=True,
                         shards=workers,
                         shard_executor=pool,
                         partition="greedy",
@@ -639,15 +741,29 @@ def run_matrix(quick: bool, repeats: int) -> dict[str, dict]:
     prop = full_privilege_property()
 
     def privilege(mode: str, budget: Budget | None = None, **kwargs):
-        checker = AnnotatedChecker(
-            cfg,
-            prop,
-            compiled=mode != "object",
-            flat=mode == "flat",
-            record_reasons=mode == "object",
-            budget=budget,
-            **kwargs,
-        )
+        # The core follows the algebra: the uncompiled monoid solves on
+        # the object core with provenance ("object"), the compiled one
+        # on the flat core ("flat", the checker default).  "diffprop"
+        # pairs the compiled algebra with the object core, provenance
+        # off, which the checker never builds by itself: its encoding
+        # is solved on a warm-started, empty object solver.
+        if mode == "diffprop":
+            solver = Solver(
+                CompiledMonoidAlgebra(prop.machine),
+                record_reasons=False,
+                budget=budget,
+                **kwargs,
+            )
+            checker = AnnotatedChecker(cfg, prop, solver=solver)
+            solver.add_many(checker._batch())
+        else:
+            checker = AnnotatedChecker(
+                cfg,
+                prop,
+                algebra=MonoidAlgebra(prop.machine) if mode == "object" else None,
+                budget=budget,
+                **kwargs,
+            )
         checker.check()
         return checker.solver
 
@@ -768,7 +884,7 @@ def run_matrix(quick: bool, repeats: int) -> dict[str, dict]:
     assert set(flat_priv.canonical_facts()) == set(obj_priv.canonical_facts()), (
         "flat core diverged from the object core on the privilege workload"
     )
-    sharded_priv = AnnotatedChecker(cfg, prop, compiled=True, shards=2)
+    sharded_priv = AnnotatedChecker(cfg, prop, shards=2)
     sharded_priv.check()
     assert set(sharded_priv.solver.canonical_facts()) == set(
         flat_priv.canonical_facts()
@@ -805,6 +921,9 @@ def run_matrix(quick: bool, repeats: int) -> dict[str, dict]:
         f"{len(tracked)} tracked workloads; flat ≡ object canonical forms"
     )
 
+    # -- E1 end to end: Table 1 source to verdict, annotated vs post* ----
+    results.update(run_table1(quick, repeats))
+
     # -- incremental re-solving: patch vs cold vs warm -------------------
     results.update(run_edit_stream(quick))
 
@@ -838,10 +957,19 @@ def print_table(results: dict[str, dict]) -> None:
             f"{row['compositions']:13d} {row['ratio']:7.3f}"
         )
     for family in ("privilege", "genkill", "flow"):
+        if f"{family}_object" not in results:
+            continue
         obj = results[f"{family}_object"]["wall_s"]
         comp = results[f"{family}_compiled"]["wall_s"]
         if comp > 0:
             print(f"{family}: compiled speedup {obj / comp:.2f}x")
+    for name, row in results.items():
+        if name.startswith("table1_"):
+            split = ", ".join(f"{k} {v:.3f}" for k, v in row["phases"].items())
+            print(
+                f"{name}: annotated {row['wall_s']:.3f}s ({split}) vs post* "
+                f"{row['poststar_s']:.3f}s = {row['annotated_over_poststar']:.2f}x"
+            )
     if "privilege_diffprop" in results:
         diffprop = results["privilege_diffprop"]["wall_s"]
         flat = results["privilege_compiled"]["wall_s"]
@@ -980,6 +1108,12 @@ def main(argv: list[str] | None = None) -> int:
         "--no-write", action="store_true", help="measure and print only"
     )
     parser.add_argument(
+        "--only",
+        choices=["table1"],
+        default=None,
+        help="run one family and merge its rows into the output file",
+    )
+    parser.add_argument(
         "--compare",
         type=pathlib.Path,
         default=None,
@@ -993,11 +1127,16 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    results = run_matrix(quick=args.quick, repeats=args.repeats)
+    if args.only == "table1":
+        results = run_table1(quick=args.quick, repeats=args.repeats)
+    else:
+        results = run_matrix(quick=args.quick, repeats=args.repeats)
     print_table(results)
     if args.compare is not None:
         return compare(results, args.compare, args.tolerance)
     if not args.no_write:
+        if args.only is not None and args.output.exists():
+            results = {**json.loads(args.output.read_text()), **results}
         args.output.write_text(json.dumps(results, indent=2) + "\n")
         print(f"wrote {args.output}")
     return 0

@@ -90,11 +90,18 @@ def test_liveness_pruning_ablation():
 
 def test_eager_vs_lazy_monoid(workload_cfg):
     prop = full_privilege_property()
+    # Both modes on the object core: the checker's default compiles the
+    # (eagerly enumerated) monoid for the flat core, so the ablation
+    # passes the two uncompiled algebras explicitly.
     eager_checker, eager_time = timed(
-        lambda: AnnotatedChecker(workload_cfg, prop, eager=True)
+        lambda: AnnotatedChecker(
+            workload_cfg, prop, algebra=MonoidAlgebra(prop.machine, eager=True)
+        )
     )
     lazy_checker, lazy_time = timed(
-        lambda: AnnotatedChecker(workload_cfg, prop, eager=False)
+        lambda: AnnotatedChecker(
+            workload_cfg, prop, algebra=MonoidAlgebra(prop.machine, eager=False)
+        )
     )
     rows = [
         f"{'monoid mode':12} {'encode+solve (s)':>17} {'facts':>9}",

@@ -3,16 +3,14 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 
 class LexError(ValueError):
     """Raised on input the lexer cannot tokenize."""
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     value: str
     line: int
@@ -60,25 +58,23 @@ def tokenize(source: str) -> Iterator[Token]:
     """Tokenize mini-C source, skipping comments and preprocessor lines."""
     line = 1
     pos = 0
-    length = len(source)
-    while pos < length:
-        match = _MASTER_RE.match(source, pos)
-        if match is None:
-            snippet = source[pos : pos + 20]
-            raise LexError(f"line {line}: cannot tokenize {snippet!r}")
+    for match in _MASTER_RE.finditer(source):
+        if match.start() != pos:
+            break  # a gap: nothing matched at ``pos``
         kind = match.lastgroup
-        text = match.group()
         pos = match.end()
+        if kind == "ws" or kind == "preproc":
+            continue
         if kind == "newline":
             line += 1
             continue
-        if kind in ("ws", "preproc"):
-            continue
+        text = match.group()
         if kind == "comment":
             line += text.count("\n")
             continue
         if kind == "ident" and text in KEYWORDS:
-            yield Token("kw", text, line)
-        else:
-            assert kind is not None
-            yield Token(kind, text, line)
+            kind = "kw"
+        yield Token(kind, text, line)  # type: ignore[arg-type]
+    if pos < len(source):
+        snippet = source[pos : pos + 20]
+        raise LexError(f"line {line}: cannot tokenize {snippet!r}")

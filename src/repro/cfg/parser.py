@@ -9,7 +9,8 @@ Grammar (types are parsed and discarded — the analyses are untyped)::
     stmt     := block | if | while | for | return | break | continue
               | decl ';' | expr ';' | ';'
     decl     := type ident ('=' expr)?
-    expr     := assignment with the usual C precedence levels
+    expr     := assignment with the usual C precedence levels (binary
+                operators by precedence climbing over one {op: level} map)
 """
 
 from __future__ import annotations
@@ -38,29 +39,34 @@ _BINARY_LEVELS = [
     {"*", "/", "%"},
 ]
 
+#: Each binary operator's index in ``_BINARY_LEVELS`` (higher binds
+#: tighter) — the table precedence climbing reads.
+_PRECEDENCE = {op: level for level, ops in enumerate(_BINARY_LEVELS) for op in ops}
+
+_UNARY_OPS = frozenset(("-", "!", "~", "*", "&", "++", "--"))
+
+#: End-of-input sentinel appended to every token list, so lookahead is
+#: a plain ``self.tokens[self.pos]`` with no bounds check.  Its kind
+#: matches no grammar token and its line is 0, the line the parser
+#: reports at end of input.
+_EOF = Token("eof", "", 0)
+
 
 class Parser:
     def __init__(self, source: str):
         self.tokens = list(tokenize(source))
+        self.tokens.append(_EOF)
         self.pos = 0
 
     # -- token plumbing --------------------------------------------------------
 
-    def peek(self, offset: int = 0) -> Token | None:
-        index = self.pos + offset
-        if index < len(self.tokens):
-            return self.tokens[index]
-        return None
-
     def at(self, kind: str, value: str | None = None, offset: int = 0) -> bool:
-        token = self.peek(offset)
-        if token is None or token.kind != kind:
-            return False
-        return value is None or token.value == value
+        token = self.tokens[self.pos + offset]
+        return token.kind == kind and (value is None or token.value == value)
 
     def take(self, kind: str | None = None, value: str | None = None) -> Token:
-        token = self.peek()
-        if token is None:
+        token = self.tokens[self.pos]
+        if token is _EOF:
             raise ParseError("unexpected end of input")
         if kind is not None and token.kind != kind:
             raise ParseError(
@@ -73,30 +79,42 @@ class Parser:
         self.pos += 1
         return token
 
+    def _take_op(self, value: str) -> Token:
+        """``take("op", value)`` with the match tested inline."""
+        token = self.tokens[self.pos]
+        if token.kind == "op" and token.value == value:
+            self.pos += 1
+            return token
+        return self.take("op", value)  # raises the mismatch error
+
     def _line(self) -> int:
-        token = self.peek()
-        return token.line if token is not None else 0
+        return self.tokens[self.pos].line
 
     # -- declarations ------------------------------------------------------------
 
     def parse_program(self) -> ast.Program:
         functions = []
-        while self.peek() is not None:
+        while self.tokens[self.pos] is not _EOF:
             functions.append(self.parse_function())
         return ast.Program(tuple(functions))
 
     def _skip_type(self) -> None:
         took_any = False
-        while self.at("kw") and self.peek().value in _TYPE_KEYWORDS:
-            keyword = self.take("kw").value
-            if keyword == "struct" and self.at("ident"):
-                self.take("ident")
+        tokens = self.tokens
+        while tokens[self.pos].kind == "kw" and tokens[self.pos].value in _TYPE_KEYWORDS:
+            keyword = tokens[self.pos].value
+            self.pos += 1
+            if keyword == "struct" and tokens[self.pos].kind == "ident":
+                self.pos += 1
             took_any = True
         while self.at("op", "*"):
-            self.take("op", "*")
+            self.pos += 1
         if not took_any:
-            token = self.peek()
-            where = f"line {token.line}: {token.value!r}" if token else "end of input"
+            token = tokens[self.pos]
+            where = (
+                "end of input" if token is _EOF
+                else f"line {token.line}: {token.value!r}"
+            )
             raise ParseError(f"expected a type, found {where}")
 
     def parse_function(self) -> ast.Function:
@@ -125,54 +143,63 @@ class Parser:
 
     def parse_block(self) -> ast.Block:
         line = self._line()
-        self.take("op", "{")
+        self._take_op("{")
         body: list[ast.Stmt] = []
-        while not self.at("op", "}"):
+        tokens = self.tokens
+        while True:
+            token = tokens[self.pos]
+            if token.kind == "op" and token.value == "}":
+                break
             body.append(self.parse_stmt())
-        self.take("op", "}")
+        self.pos += 1
         return ast.Block(line, tuple(body))
 
     def parse_stmt(self) -> ast.Stmt:
-        line = self._line()
-        if self.at("op", "{"):
-            return self.parse_block()
-        if self.at("op", ";"):
-            self.take("op", ";")
-            return ast.Block(line, ())
-        if self.at("kw", "if"):
-            return self._parse_if()
-        if self.at("kw", "while"):
-            return self._parse_while()
-        if self.at("kw", "for"):
-            return self._parse_for()
-        if self.at("kw", "switch"):
-            return self._parse_switch()
-        if self.at("kw", "return"):
-            self.take("kw", "return")
-            value = None
-            if not self.at("op", ";"):
-                value = self.parse_expr()
-            self.take("op", ";")
-            return ast.Return(line, value)
-        if self.at("kw", "break"):
-            self.take("kw", "break")
-            self.take("op", ";")
-            return ast.Break(line)
-        if self.at("kw", "continue"):
-            self.take("kw", "continue")
-            self.take("op", ";")
-            return ast.Continue(line)
-        if self.at("kw") and self.peek().value in _TYPE_KEYWORDS:
-            self._skip_type()
-            name = self.take("ident").value
-            init = None
-            if self.at("op", "="):
-                self.take("op", "=")
-                init = self.parse_expr()
-            self.take("op", ";")
-            return ast.Decl(line, name, init)
+        token = self.tokens[self.pos]
+        line = token.line
+        kind = token.kind
+        value = token.value
+        if kind == "op":
+            if value == "{":
+                return self.parse_block()
+            if value == ";":
+                self.pos += 1
+                return ast.Block(line, ())
+        elif kind == "kw":
+            if value == "if":
+                return self._parse_if()
+            if value == "while":
+                return self._parse_while()
+            if value == "for":
+                return self._parse_for()
+            if value == "switch":
+                return self._parse_switch()
+            if value == "return":
+                self.pos += 1
+                expr = None
+                if not self.at("op", ";"):
+                    expr = self.parse_expr()
+                self._take_op(";")
+                return ast.Return(line, expr)
+            if value == "break":
+                self.pos += 1
+                self._take_op(";")
+                return ast.Break(line)
+            if value == "continue":
+                self.pos += 1
+                self._take_op(";")
+                return ast.Continue(line)
+            if value in _TYPE_KEYWORDS:
+                self._skip_type()
+                name = self.take("ident").value
+                init = None
+                if self.at("op", "="):
+                    self.pos += 1
+                    init = self.parse_expr()
+                self._take_op(";")
+                return ast.Decl(line, name, init)
         expr = self.parse_expr()
-        self.take("op", ";")
+        self._take_op(";")
         return ast.ExprStmt(line, expr)
 
     def _parse_if(self) -> ast.If:
@@ -234,7 +261,7 @@ class Parser:
         self.take("op", "(")
         init: ast.Stmt | None = None
         if not self.at("op", ";"):
-            if self.at("kw") and self.peek().value in _TYPE_KEYWORDS:
+            if self.at("kw") and self.tokens[self.pos].value in _TYPE_KEYWORDS:
                 self._skip_type()
                 name = self.take("ident").value
                 value = None
@@ -268,18 +295,21 @@ class Parser:
 
     def _parse_assignment(self) -> ast.Expr:
         left = self._parse_ternary()
-        if self.at("op", "="):
-            line = self.take("op", "=").line
+        token = self.tokens[self.pos]
+        if token.kind == "op" and token.value == "=":
+            self.pos += 1
             value = self._parse_assignment()
-            return ast.Assign(line, left, value)
+            return ast.Assign(token.line, left, value)
         return left
 
     def _parse_ternary(self) -> ast.Expr:
         cond = self._parse_binary(0)
-        if self.at("op", "?"):
-            line = self.take("op", "?").line
+        token = self.tokens[self.pos]
+        if token.kind == "op" and token.value == "?":
+            self.pos += 1
+            line = token.line
             then = self.parse_expr()
-            self.take("op", ":")
+            self._take_op(":")
             orelse = self._parse_ternary()
             # Model a ternary as two nested binaries: both sides parsed,
             # condition retained — control flow inside ternaries is not
@@ -287,75 +317,90 @@ class Parser:
             return ast.Binary(line, "?:", cond, ast.Binary(line, ":", then, orelse))
         return cond
 
-    def _parse_binary(self, level: int) -> ast.Expr:
-        if level >= len(_BINARY_LEVELS):
-            return self._parse_unary()
-        left = self._parse_binary(level + 1)
-        while self.at("op") and self.peek().value in _BINARY_LEVELS[level]:
-            op = self.take("op")
+    def _parse_binary(self, min_level: int) -> ast.Expr:
+        """Precedence climbing: operators of level ``min_level`` or
+        tighter, left-associative within a level."""
+        left = self._parse_unary()
+        tokens = self.tokens
+        while True:
+            token = tokens[self.pos]
+            if token.kind != "op":
+                return left
+            level = _PRECEDENCE.get(token.value)
+            if level is None or level < min_level:
+                return left
+            self.pos += 1
             right = self._parse_binary(level + 1)
-            left = ast.Binary(op.line, op.value, left, right)
-        return left
+            left = ast.Binary(token.line, token.value, left, right)
 
     def _parse_unary(self) -> ast.Expr:
-        if self.at("op") and self.peek().value in ("-", "!", "~", "*", "&", "++", "--"):
-            op = self.take("op")
-            return ast.Unary(op.line, op.value, self._parse_unary())
+        token = self.tokens[self.pos]
+        if token.kind == "op" and token.value in _UNARY_OPS:
+            self.pos += 1
+            return ast.Unary(token.line, token.value, self._parse_unary())
         return self._parse_postfix()
 
     def _parse_postfix(self) -> ast.Expr:
         expr = self._parse_primary()
+        tokens = self.tokens
         while True:
-            if self.at("op", "("):
+            token = tokens[self.pos]
+            if token.kind != "op":
+                return expr
+            value = token.value
+            if value == "(":
                 if not isinstance(expr, ast.Ident):
                     raise ParseError(
-                        f"line {self._line()}: only direct calls are supported"
+                        f"line {token.line}: only direct calls are supported"
                     )
-                self.take("op", "(")
+                self.pos += 1
                 args: list[ast.Expr] = []
                 if not self.at("op", ")"):
                     args.append(self.parse_expr())
                     while self.at("op", ","):
-                        self.take("op", ",")
+                        self.pos += 1
                         args.append(self.parse_expr())
-                close = self.take("op", ")")
+                close = self._take_op(")")
                 expr = ast.Call(close.line, expr.name, tuple(args))
-            elif self.at("op", "[") :
-                self.take("op", "[")
+            elif value == "[":
+                self.pos += 1
                 index = self.parse_expr()
-                bracket = self.take("op", "]")
+                bracket = self._take_op("]")
                 expr = ast.Binary(bracket.line, "[]", expr, index)
-            elif self.at("op", "++") or self.at("op", "--"):
-                op = self.take("op")
-                expr = ast.Unary(op.line, op.value + "post", expr)
-            elif self.at("op", ".") or self.at("op", "->"):
-                op = self.take("op")
+            elif value == "++" or value == "--":
+                self.pos += 1
+                expr = ast.Unary(token.line, value + "post", expr)
+            elif value == "." or value == "->":
+                self.pos += 1
                 field = self.take("ident")
-                expr = ast.Binary(op.line, op.value, expr, ast.Ident(field.line, field.value))
+                expr = ast.Binary(
+                    token.line, value, expr, ast.Ident(field.line, field.value)
+                )
             else:
                 return expr
 
     def _parse_primary(self) -> ast.Expr:
-        token = self.peek()
-        if token is None:
-            raise ParseError("unexpected end of input in expression")
-        if token.kind == "number":
-            self.take("number")
-            return ast.Number(token.line, int(token.value, 0))
-        if token.kind == "string":
-            self.take("string")
-            return ast.String(token.line, token.value[1:-1])
-        if token.kind == "char":
-            self.take("char")
-            return ast.Number(token.line, 0)
-        if token.kind == "ident":
-            self.take("ident")
+        token = self.tokens[self.pos]
+        kind = token.kind
+        if kind == "ident":
+            self.pos += 1
             return ast.Ident(token.line, token.value)
-        if token.kind == "op" and token.value == "(":
-            self.take("op", "(")
+        if kind == "number":
+            self.pos += 1
+            return ast.Number(token.line, int(token.value, 0))
+        if kind == "string":
+            self.pos += 1
+            return ast.String(token.line, token.value[1:-1])
+        if kind == "char":
+            self.pos += 1
+            return ast.Number(token.line, 0)
+        if kind == "op" and token.value == "(":
+            self.pos += 1
             expr = self.parse_expr()
-            self.take("op", ")")
+            self._take_op(")")
             return expr
+        if token is _EOF:
+            raise ParseError("unexpected end of input in expression")
         raise ParseError(f"line {token.line}: unexpected token {token.value!r}")
 
 

@@ -78,6 +78,20 @@ _FLAT_ORIGIN = Origin("direct", ("lower", None, None, None))
 NUMPY_MIN_COLUMN = 64
 
 
+class _Indexed:
+    """``fn(*bound, i)`` read as ``self[i]``: stands in for a
+    precomputed tuple an algebra does not have."""
+
+    __slots__ = ("_fn", "_bound")
+
+    def __init__(self, fn: Any, *bound: Any):
+        self._fn = fn
+        self._bound = bound
+
+    def __getitem__(self, index: int) -> Any:
+        return self._fn(*self._bound, index)
+
+
 def _ann_span(algebra: Any) -> int:
     """Exclusive upper bound of the algebra's packed annotation ints."""
     n_bits = getattr(algebra, "n_bits", None)
@@ -1869,75 +1883,144 @@ class FlatSolver:
 
         The int-domain fast path behind
         :class:`repro.core.queries.Reachability`: the delta propagation
-        runs entirely over term ids and packed annotation ints, and the
-        table is decoded to object keys once at the end.  Origins are a
-        shared placeholder (no provenance in the flat core), so
-        ``witness`` traces are empty — as with ``record_reasons=False``.
+        (:meth:`_reach_ints`) runs entirely over term ids and packed
+        annotation ints, and the table is decoded to object keys once at
+        the end.  Origins are a shared placeholder (no provenance in the
+        flat core), so ``witness`` traces are empty — as with
+        ``record_reasons=False``.
+        """
+        span = self._span
+        terms = self._terms
+        vars_ = self._vars
+        out: dict[Variable, dict[tuple[Constructed, Annotation], Origin]] = {}
+        for vid, bucket in self._reach_ints(through_constructors).items():
+            decoded: dict[tuple[Constructed, Annotation], Origin] = {}
+            for key in bucket:
+                decoded[(terms[key // span], key % span)] = _FLAT_ORIGIN
+            out[vars_[vid]] = decoded
+        return out
+
+    def constant_annotations(
+        self, const: Constructed, through_constructors: bool = True
+    ) -> dict[int, set[int]]:
+        """Annotation ids with which ``const`` reaches each variable.
+
+        Keyed by union-find root id (see :meth:`root_id`); roots the
+        constant does not reach are absent.  The same propagation as
+        :meth:`reach_table`, seeded with ``const`` alone and never
+        decoded — the model checker's verdict queries read it directly.
+        """
+        tid = self._term_ids.get(const)
+        if tid is None:
+            return {}
+        base = tid * self._span
+        return {
+            vid: {key - base for key in bucket}
+            for vid, bucket in self._reach_ints(through_constructors, tid).items()
+            if bucket
+        }
+
+    def root_id(self, var: Variable) -> int | None:
+        """Union-find root id of ``var`` (None if it was never interned)."""
+        vid = self._var_ids.get(var)
+        if vid is None or not self._ufp:
+            return vid
+        return self._find(vid)
+
+    def _reach_ints(
+        self, through_constructors: bool, only_tid: int | None = None
+    ) -> dict[int, set[int]]:
+        """Packed ``tid * span + ann`` keys reaching each root id.
+
+        ``only_tid`` restricts the seeds to one constant term; the
+        propagation of different constants is independent, so the
+        restricted table is exactly that constant's slice of the full
+        one.  The propagation allocates no tuples (work items and
+        wrapper rows are packed ints): on a large solved form the
+        collector's passes over the heap would otherwise cost as much
+        as the propagation itself.
         """
         algebra = self.algebra
-        then = algebra.then
+        # Composition and liveness are tuple indexes where the algebra
+        # precomputes them (the compiled monoid's table and predicate
+        # tuple), not method calls per lifted fact.
         mono = getattr(algebra, "_table", None)
-        is_live = algebra.is_live
-        idk = self._idk
+        live = getattr(algebra, "_live", None)
+        if live is None:
+            live = _Indexed(algebra.is_live)
         span = self._span
+        n_terms = len(self._terms)
         roots = self._uf_roots()
         term_args = self._term_args
-        terms = self._terms
-        table: dict[int, set[int]] = {}
-        wrappers: dict[int, list[tuple[int, int]]] = {}
-        work: list[tuple[int, int, int]] = []
+        buckets: list[set[int] | None] = [None] * len(self._vars)
+        # wrappers[A]: ``target * span + outer`` per constructed lower
+        # bound ``c(..A..) ⊆^outer target``.
+        wrappers: dict[int, list[int]] = {}
+        # work: ``(var * n_terms + const) * span + ann`` per new entry.
+        work: list[int] = []
         for vid in range(len(self._vars)):
             srcs = self._low_src[vid]
             if srcs is None:
                 continue
             if roots[vid] != vid:
                 continue
-            bucket = table.setdefault(vid, set())
+            bucket = buckets[vid] = set()
             anns = self._low_ann[vid]
             for i in range(len(srcs)):
                 tid = srcs[i]
                 args = term_args[tid]
                 if not args:
+                    if only_tid is not None and tid != only_tid:
+                        continue
                     key = tid * span + anns[i]
                     if key not in bucket:
                         bucket.add(key)
-                        work.append((vid, tid, anns[i]))
+                        work.append((vid * n_terms + tid) * span + anns[i])
                 elif through_constructors:
                     packed = vid * span + anns[i]
                     for arg in args:
-                        wrappers.setdefault(roots[arg], []).append(
-                            (tid, packed)
-                        )
+                        wrappers.setdefault(roots[arg], []).append(packed)
         if through_constructors:
+            # Arguments with equal wrapper sets lift a fact to the same
+            # (target, annotation) pairs: the call sites of one function
+            # (``o_i(A_i)``, ``o_j(A_j)``) reach the same callee nodes
+            # with the same annotations.  Lifting each (constant,
+            # annotation) once per distinct set is exact.
+            group: dict[int, int] = {}
+            groups: dict[tuple[int, ...], int] = {}
+            for arg, packed_rows in wrappers.items():
+                packed_rows.sort()
+                group[arg] = groups.setdefault(tuple(packed_rows), len(groups))
+            stride = n_terms * span
+            lifted_once: set[int] = set()
             pop = work.pop
+            push = work.append
             while work:
-                arg, const, inner = pop()
+                item = pop()
+                fact = item % stride  # const * span + inner
+                arg = item // stride
                 lifted = wrappers.get(arg)
-                if not lifted:
+                if lifted is None:
                     continue
-                for _tid, packed in lifted:
-                    outer = packed % span
-                    target = packed // span
-                    if outer == idk:
-                        combined = inner
-                    elif inner == idk:
-                        combined = outer
-                    elif mono is not None:
-                        combined = mono[inner][outer]
-                    else:
-                        combined = then(inner, outer)
-                    if not is_live(combined):
-                        continue
-                    key = const * span + combined
-                    bucket = table[target]
-                    if key not in bucket:
-                        bucket.add(key)
-                        work.append((target, const, combined))
-        vars_ = self._vars
-        out: dict[Variable, dict[tuple[Constructed, Annotation], Origin]] = {}
-        for vid, bucket in table.items():
-            decoded: dict[tuple[Constructed, Annotation], Origin] = {}
-            for key in bucket:
-                decoded[(terms[key // span], key % span)] = _FLAT_ORIGIN
-            out[vars_[vid]] = decoded
-        return out
+                once = group[arg] * stride + fact
+                if once in lifted_once:
+                    continue
+                lifted_once.add(once)
+                inner = fact % span
+                base = fact - inner
+                row = (
+                    mono[inner] if mono is not None
+                    else _Indexed(algebra.then, inner)
+                )
+                for packed in lifted:
+                    combined = row[packed % span]
+                    if live[combined]:
+                        key = base + combined
+                        target = packed // span
+                        bucket = buckets[target]
+                        if key not in bucket:
+                            bucket.add(key)
+                            push(target * stride + key)
+        return {
+            vid: bucket for vid, bucket in enumerate(buckets) if bucket is not None
+        }

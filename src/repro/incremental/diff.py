@@ -515,7 +515,7 @@ class StableCheck:
         """All violating program points (mirrors ``AnnotatedChecker.check``)."""
         reach = self.reachability()
         result = CheckResult(
-            constraints=len(self.constraints), facts=self.solver.fact_count()
+            constraints=len(self.constraints), fact_source=self.solver.fact_count
         )
         for node in self.cfg.all_nodes():
             var = self._vars.get(node.id)

@@ -16,14 +16,21 @@ The encoding follows Section 6.1 exactly:
 A violation is the entailment of ``pc^{f}`` at some node variable with
 ``f`` driving the property machine into its error set; the query uses
 PN reachability (descending into unreturned calls), so errors inside
-callees with pending frames are found.  Witness traces come from the
-solver's provenance.
+callees with pending frames are found.
+
+Non-parametric properties solve on the flat core
+(:class:`~repro.core.flatcore.FlatSolver`) over the compiled monoid,
+and the verdict queries read annotation ids off it directly.  The flat
+core records no provenance, so witness traces come from a second,
+provenance-recording solve of the same encoding on the object
+:class:`~repro.core.solver.Solver`, run once, on the first request for
+a trace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.cfg.graph import CFGNode, ProgramCFG
 from repro.core.annotations import Annotation, CompiledMonoidAlgebra, MonoidAlgebra
@@ -60,9 +67,24 @@ class Violation:
 
 @dataclass
 class CheckResult:
+    """Violations found by a check, with the encoding's size.
+
+    ``facts`` is the canonical solved-form fact count.  It is computed
+    on first read, not by the check: the verdict does not need it and
+    the canonical collapse behind it costs as much as the queries.  A
+    count source given as a callable runs against the solver as it is
+    when ``facts`` is first read.
+    """
+
     violations: list[Violation] = field(default_factory=list)
     constraints: int = 0
-    facts: int = 0
+    fact_source: int | Callable[[], int] = field(default=0, repr=False)
+
+    @property
+    def facts(self) -> int:
+        if callable(self.fact_source):
+            self.fact_source = self.fact_source()
+        return self.fact_source
 
     @property
     def has_violation(self) -> bool:
@@ -138,6 +160,13 @@ def _epsilon_scc_representatives(cfg: ProgramCFG, event_of) -> dict[int, int]:
 class AnnotatedChecker:
     """Model-check a program CFG against a temporal safety property.
 
+    The solver core follows the annotation algebra.  A non-parametric
+    property is compiled (:class:`CompiledMonoidAlgebra`, the §8
+    specializer) and solved on the flat core; a parametric property,
+    a caller-supplied algebra that is not compiled, and ``eager=False``
+    (a lazily enumerated monoid, which cannot be compiled) solve on
+    the object :class:`Solver` with provenance recorded.
+
     ``algebra`` reuses a prebuilt annotation algebra (the analysis
     service caches one compiled monoid per property machine and shares
     it across checks); it must be an algebra over ``prop.machine``.
@@ -158,12 +187,9 @@ class AnnotatedChecker:
         eager: bool = True,
         collapse_cycles: bool = False,
         algebra: Any | None = None,
-        solver: Solver | None = None,
-        compiled: bool = False,
-        record_reasons: bool = True,
+        solver: Solver | FlatSolver | None = None,
         budget: Budget | None = None,
         cycle_elim: bool = True,
-        flat: bool = False,
         track_redundant: bool = False,
         shards: int = 1,
         shard_executor: Any | None = None,
@@ -179,10 +205,6 @@ class AnnotatedChecker:
         self.sharded: Any | None = None
         if self._shards > 1 and solver is not None:
             raise ValueError("shards and a warm-start solver are exclusive")
-        if self._shards > 1 and record_reasons:
-            # Sharded solves have no provenance (the merged view is
-            # installed, not derived); witness traces come back empty.
-            record_reasons = False
         if solver is not None:
             self.algebra = solver.algebra
             self.solver = solver
@@ -195,21 +217,19 @@ class AnnotatedChecker:
                 self.algebra = ParametricAlgebra(
                     prop.machine, prop.parametric_symbols, eager=eager
                 )
-            elif compiled or flat:
-                # The §8 specializer: annotations become table indices.
+            elif eager:
                 self.algebra = CompiledMonoidAlgebra(prop.machine)
             else:
-                self.algebra = MonoidAlgebra(prop.machine, eager=eager)
+                self.algebra = MonoidAlgebra(prop.machine, eager=False)
             if self._shards > 1:
                 # Deferred: _encode routes the whole batch through
                 # repro.core.partition.solve_sharded and installs the
                 # merged solver (flat whenever the algebra is compiled).
+                # Sharded solves record no provenance.
                 self._shard_budget = budget
                 self._shard_cycle_elim = cycle_elim
                 self.solver = None  # type: ignore[assignment]
-            elif flat:
-                # The flat-array core: int-indexed columns, no
-                # provenance (see :mod:`repro.core.flatcore`).
+            elif getattr(self.algebra, "identity_index", None) is not None:
                 self.solver = FlatSolver(
                     self.algebra,
                     budget=budget,
@@ -219,7 +239,6 @@ class AnnotatedChecker:
             else:
                 self.solver = Solver(
                     self.algebra,
-                    record_reasons=record_reasons,
                     budget=budget,
                     cycle_elim=cycle_elim,
                     track_redundant=track_redundant,
@@ -242,6 +261,7 @@ class AnnotatedChecker:
             for node in cfg.all_nodes():
                 self.node_var(node)
         self._reachability: Reachability | None = None
+        self._pc_annotations: dict[int, set[int]] | None = None
 
     # -- encoding ---------------------------------------------------------------
 
@@ -267,7 +287,8 @@ class AnnotatedChecker:
             )
         return self.algebra.symbol(symbol)
 
-    def _encode(self) -> None:
+    def _batch(self) -> list[tuple]:
+        """The Section 6.1 constraints for the whole program, in order."""
         cfg = self.cfg
         batch: list[tuple] = [(self.pc, self.node_var(cfg.main.entry))]
         for node in cfg.all_nodes():
@@ -287,6 +308,10 @@ class AnnotatedChecker:
             annotation = self._annotation_of(node)
             for succ in cfg.successors(node):
                 batch.append((src, self.node_var(succ), annotation, node))
+        return batch
+
+    def _encode(self) -> None:
+        batch = self._batch()
         self._constraints = len(batch)
         if self._shards > 1:
             # Sharded solving: partition the encoded graph, solve the
@@ -311,9 +336,59 @@ class AnnotatedChecker:
     # -- queries ------------------------------------------------------------------
 
     def reachability(self) -> Reachability:
+        """Reachability with provenance: witness traces, runtime stacks
+        (``stack_of``) and generic queries.
+
+        The object core records provenance as it solves.  The flat core
+        does not, so on first use the same encoding is solved once more
+        on the object :class:`Solver`, over the same algebra (annotation
+        ids agree), and the result is kept.  The verdict queries never
+        need it.  The re-solve runs without a budget: it repeats a solve
+        that has already finished, and the budget the checker holds may
+        belong to an earlier request.  Sharded solves keep their empty
+        traces.
+        """
         if self._reachability is None:
-            self._reachability = Reachability(self.solver, through_constructors=True)
+            solver = self.solver
+            if self._flat() and self.sharded is None:
+                solver = Solver(self.algebra, cycle_elim=self.solver.cycle_elim)
+                solver.add_many(self._batch())
+            self._reachability = Reachability(solver, through_constructors=True)
         return self._reachability
+
+    def _flat(self) -> bool:
+        return isinstance(self.solver, FlatSolver)
+
+    def _trace(self, var: Variable, annotation: Annotation) -> tuple[CFGNode, ...]:
+        reach = self.reachability()
+        return tuple(
+            step
+            for step in reach.witness(var, self.pc, annotation)
+            if isinstance(step, CFGNode)
+        )
+
+    def _node_vars(self) -> Iterator[tuple[CFGNode, Variable]]:
+        rep = self._rep
+        for node in self.cfg.all_nodes():
+            var = self._vars.get(rep.get(node.id, node.id))
+            if var is not None:
+                yield node, var
+
+    def _annotation_ids(self) -> dict[int, set[int]]:
+        """Flat core: ``pc``'s annotation ids per union-find root."""
+        if self._pc_annotations is None:
+            self._pc_annotations = self.solver.constant_annotations(self.pc)
+        return self._pc_annotations
+
+    def _accepting_by_root(self) -> dict[int, int]:
+        """Flat core: the smallest accepting annotation id per root."""
+        is_accepting = self.algebra.is_accepting
+        found: dict[int, int] = {}
+        for root, anns in self._annotation_ids().items():
+            hits = [ann for ann in anns if is_accepting(ann)]
+            if hits:
+                found[root] = min(hits)
+        return found
 
     def check(self, traces: bool = False) -> CheckResult:
         """Find all program points whose annotations reach the error set.
@@ -324,13 +399,22 @@ class AnnotatedChecker:
         :meth:`witness` to reconstruct a single violation's trace
         after the fact.
         """
+        result = CheckResult(
+            constraints=self._constraints, fact_source=self.solver.fact_count
+        )
+        if self._flat():
+            accepting = self._accepting_by_root()
+            root_id = self.solver.root_id
+            for node, var in self._node_vars():
+                annotation = accepting.get(root_id(var))
+                if annotation is None:
+                    continue
+                trace = self._trace(var, annotation) if traces else ()
+                result.violations.append(Violation(node, annotation, None, trace))
+            return result
         reach = self.reachability()
-        result = CheckResult(constraints=self._constraints, facts=self.solver.fact_count())
         parametric = isinstance(self.algebra, ParametricAlgebra)
-        for node in self.cfg.all_nodes():
-            var = self._vars.get(self._rep.get(node.id, node.id))
-            if var is None:
-                continue
+        for node, var in self._node_vars():
             seen: set[tuple[tuple[str, str], ...] | None] = set()
             for annotation in reach.annotations_of(var, self.pc):
                 if parametric:
@@ -346,13 +430,7 @@ class AnnotatedChecker:
                     if instantiation in seen:
                         continue
                     seen.add(instantiation)
-                    trace: tuple[CFGNode, ...] = ()
-                    if traces:
-                        trace = tuple(
-                            step
-                            for step in reach.witness(var, self.pc, annotation)
-                            if isinstance(step, CFGNode)
-                        )
+                    trace = self._trace(var, annotation) if traces else ()
                     result.violations.append(
                         Violation(node, annotation, instantiation, trace)
                     )
@@ -361,29 +439,21 @@ class AnnotatedChecker:
     def witness(self, violation: Violation) -> tuple[CFGNode, ...]:
         """Witness trace for one violation (lazy counterpart of
         ``check(traces=True)``)."""
-        reach = self.reachability()
-        var = self.node_var(violation.node)
-        return tuple(
-            step
-            for step in reach.witness(var, self.pc, violation.annotation)
-            if isinstance(step, CFGNode)
-        )
+        return self._trace(self.node_var(violation.node), violation.annotation)
 
     def has_violation(self) -> bool:
         """Fast boolean check (stops scanning at the first violation)."""
+        if self._flat():
+            accepting = self._accepting_by_root()
+            root_id = self.solver.root_id
+            return any(root_id(var) in accepting for _node, var in self._node_vars())
         reach = self.reachability()
-        parametric = isinstance(self.algebra, ParametricAlgebra)
-        for node in self.cfg.all_nodes():
-            var = self._vars.get(self._rep.get(node.id, node.id))
-            if var is None:
-                continue
-            for annotation in reach.annotations_of(var, self.pc):
-                if parametric:
-                    if self.algebra.is_accepting(annotation):
-                        return True
-                elif self.algebra.is_accepting(annotation):
-                    return True
-        return False
+        is_accepting = self.algebra.is_accepting
+        return any(
+            is_accepting(annotation)
+            for _node, var in self._node_vars()
+            for annotation in reach.annotations_of(var, self.pc)
+        )
 
     def states_at(self, node: CFGNode) -> set[int] | dict[EntryKey, set[int]]:
         """Property-machine states reachable at a program point.
@@ -393,9 +463,13 @@ class AnnotatedChecker:
         instantiation keys to their state sets (the general query of
         Section 3.2 — e.g. "is ``fd2`` in the Opened state here?").
         """
-        reach = self.reachability()
         var = self.node_var(node)
-        annotations = reach.annotations_of(var, self.pc)
+        if self._flat():
+            annotations: Iterable[Annotation] = self._annotation_ids().get(
+                self.solver.root_id(var), ()
+            )
+        else:
+            annotations = self.reachability().annotations_of(var, self.pc)
         if not isinstance(self.algebra, ParametricAlgebra):
             # state_after handles both representations: representative
             # functions (object mode) and table indices (compiled mode).

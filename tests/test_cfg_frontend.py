@@ -4,7 +4,35 @@ import pytest
 
 from repro.cfg import ast
 from repro.cfg.lexer import LexError, Token, tokenize
-from repro.cfg.parser import ParseError, parse_program
+from repro.cfg.parser import _BINARY_LEVELS, ParseError, parse_program
+
+
+def _rhs(text: str) -> ast.Expr:
+    """The parsed right-hand side of ``x = <text>;`` (all on line 1)."""
+    program = parse_program(f"int main() {{ x = {text}; }}")
+    assign = program.function("main").body.body[0].expr
+    assert isinstance(assign, ast.Assign)
+    return assign.value
+
+
+def _id(name: str) -> ast.Ident:
+    return ast.Ident(1, name)
+
+
+def _num(value: int) -> ast.Number:
+    return ast.Number(1, value)
+
+
+def _bin(op: str, left: ast.Expr, right: ast.Expr) -> ast.Binary:
+    return ast.Binary(1, op, left, right)
+
+
+def _un(op: str, operand: ast.Expr) -> ast.Unary:
+    return ast.Unary(1, op, operand)
+
+
+def _call(name: str, *args: ast.Expr) -> ast.Call:
+    return ast.Call(1, name, args)
 
 
 class TestLexer:
@@ -88,6 +116,83 @@ class TestParser:
         assert isinstance(assign.value, ast.Binary)
         assert assign.value.op == "+"
         assert assign.value.right.op == "*"
+        # Every pair of adjacent precedence levels, both orders: the
+        # tighter operator groups first wherever it appears.
+        a, b, c = _id("a"), _id("b"), _id("c")
+        for loose, tight in zip(_BINARY_LEVELS, _BINARY_LEVELS[1:]):
+            for lo in sorted(loose):
+                for hi in sorted(tight):
+                    assert _rhs(f"a {lo} b {hi} c") == _bin(lo, a, _bin(hi, b, c))
+                    assert _rhs(f"a {hi} b {lo} c") == _bin(lo, _bin(hi, a, b), c)
+
+    def test_binary_operators_associate_left(self):
+        a, b, c = _id("a"), _id("b"), _id("c")
+        for level in _BINARY_LEVELS:
+            for first in sorted(level):
+                for second in sorted(level):
+                    assert _rhs(f"a {first} b {second} c") == _bin(
+                        second, _bin(first, a, b), c
+                    )
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("-a * b", _bin("*", _un("-", _id("a")), _id("b"))),
+            ("!a && b", _bin("&&", _un("!", _id("a")), _id("b"))),
+            ("a - -b", _bin("-", _id("a"), _un("-", _id("b")))),
+            ("*p++ + 1", _bin("+", _un("*", _un("++post", _id("p"))), _num(1))),
+            ("&s->f", _un("&", _bin("->", _id("s"), _id("f")))),
+            (
+                "a[i] * f(x) - s.g",
+                _bin(
+                    "-",
+                    _bin("*", _bin("[]", _id("a"), _id("i")), _call("f", _id("x"))),
+                    _bin(".", _id("s"), _id("g")),
+                ),
+            ),
+            ("-(a + b) * c", _bin("*", _un("-", _bin("+", _id("a"), _id("b"))), _id("c"))),
+            (
+                "a || b ? c : d",
+                _bin("?:", _bin("||", _id("a"), _id("b")), _bin(":", _id("c"), _id("d"))),
+            ),
+            (
+                "c ? a + b : d | e",
+                _bin(
+                    "?:",
+                    _id("c"),
+                    _bin(":", _bin("+", _id("a"), _id("b")), _bin("|", _id("d"), _id("e"))),
+                ),
+            ),
+            (
+                "a ? b : c ? d : e",
+                _bin(
+                    "?:",
+                    _id("a"),
+                    _bin(":", _id("b"), _bin("?:", _id("c"), _bin(":", _id("d"), _id("e")))),
+                ),
+            ),
+            ("!f(a) == ~b", _bin("==", _un("!", _call("f", _id("a"))), _un("~", _id("b")))),
+            ("a < b << c", _bin("<", _id("a"), _bin("<<", _id("b"), _id("c")))),
+        ],
+    )
+    def test_unary_postfix_ternary_mixes(self, text, expected):
+        assert _rhs(text) == expected
+
+    @pytest.mark.parametrize("op", sorted(op for level in _BINARY_LEVELS for op in level))
+    def test_truncated_after_binary_operator(self, op):
+        cases = [
+            (f"int main() {{\n  x = a {op}\n}}\n", "line 3: unexpected token '}'"),
+            (f"int main() {{\n  x = a {op};\n}}\n", "line 2: unexpected token ';'"),
+            (f"int main() {{\n  x = a {op}", "unexpected end of input in expression"),
+            (
+                f"int main() {{\n  f(a {op}\n  , b);\n}}\n",
+                "line 3: unexpected token ','",
+            ),
+        ]
+        for source, message in cases:
+            with pytest.raises(ParseError) as excinfo:
+                parse_program(source)
+            assert str(excinfo.value) == message
 
     def test_calls_with_nested_args(self):
         program = parse_program("int main() { f(g(1), h()); }")

@@ -59,6 +59,35 @@ class TestCheckCommand:
         out = capsys.readouterr().out
         assert "[annotated]" in out and "[mops]" in out
 
+    @pytest.mark.parametrize("fixture, code", [("vulnerable_c", 1), ("clean_c", 0)])
+    def test_mops_engine_exit_code_comes_from_mops(
+        self, fixture, code, request, monkeypatch, capsys
+    ):
+        path = request.getfixturevalue(fixture)
+        argv = ["check", path, "--property", "simple-privilege", "--engine", "mops"]
+        assert main(argv) == code
+        expected = capsys.readouterr().out
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("--engine mops must not run the annotated solver")
+
+        monkeypatch.setattr("repro.cli.AnnotatedChecker", refuse)
+        assert main(argv) == code
+        assert capsys.readouterr().out == expected
+
+    def test_traces_need_no_other_flag(self, vulnerable_c, capsys):
+        argv = ["check", vulnerable_c, "--property", "simple-privilege"]
+        assert main(argv + ["--traces"]) == 1
+        out = capsys.readouterr().out
+        findings = [line for line in out.splitlines() if line.startswith("  violation")]
+        steps = [line for line in out.splitlines() if line.startswith("      ")]
+        assert findings and steps
+
+    def test_flat_flag_is_gone(self, vulnerable_c):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["check", vulnerable_c, "--property", "simple-privilege", "--flat"])
+        assert excinfo.value.code == 2
+
     def test_collapse_cycles_flag(self, vulnerable_c):
         assert (
             main(

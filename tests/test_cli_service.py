@@ -1,6 +1,8 @@
 """Tests for CLI error handling, --version, and the query/serve commands."""
 
 import json
+import pathlib
+import re
 
 import pytest
 
@@ -51,6 +53,21 @@ class TestErrorHandling:
             main(["--version"])
         assert exit_info.value.code == 0
         assert repro.__version__ in capsys.readouterr().out
+
+    def test_version_is_single_sourced(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml"
+        config = tomllib.loads(pyproject.read_text())
+        assert "version" not in config["project"]
+        assert "version" in config["project"]["dynamic"]
+        assert config["tool"]["setuptools"]["dynamic"]["version"] == {
+            "attr": "repro.__version__"
+        }
+        # A PEP 440 release number, optionally with a pre/post/dev tag.
+        assert re.fullmatch(
+            r"\d+(\.\d+)*((a|b|rc)\d+)?(\.post\d+)?(\.dev\d+)?",
+            repro.__version__,
+        )
 
 
 class TestQueryCommand:

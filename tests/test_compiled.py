@@ -6,10 +6,12 @@ pins that claim from a different angle:
 
 * table-vs-object agreement of ``then``/predicates on all element pairs
   for the gallery machines, and on random words (hypothesis);
-* identical solved forms and verdicts between compiled and object
-  solvers on the Table 1 and Fig 11 workloads (decode-based comparison);
+* identical solved forms and verdicts between the default checker
+  (compiled algebra, flat core) and the object core, and between
+  compiled and object flow analyses, on the Table 1 and Fig 11
+  workloads (decode-based comparison);
 * packed-int gen/kill composition equals the tuple ``ProductAlgebra``;
-* provenance opt-out (``record_reasons=False``) changes no facts;
+* solving without provenance (the flat core) changes no facts;
 * ``add_many`` batches equal one-at-a-time adds; duplicates surface in
   ``SolverStats.facts_deduped``;
 * compiled solved forms persist and warm-start (format v2, including
@@ -33,6 +35,7 @@ from repro.core import (
     Solver,
     compile_algebra,
 )
+from repro.core.flatcore import FlatSolver
 from repro.core.persist import dump_solver, load_solver
 from repro.core.terms import Constructor, Variable
 from repro.dataflow import AnnotatedBitVectorAnalysis
@@ -178,6 +181,18 @@ def _solved_form(solver):
     return facts
 
 
+def _canonical_form(solver):
+    """Decoded canonical solved form: comparable across solver cores,
+    whose raw forms differ by the order cycle elimination merged in."""
+    algebra = solver.algebra
+    decode = (
+        algebra.decode
+        if isinstance(algebra, CompiledMonoidAlgebra)
+        else (lambda ann: ann)
+    )
+    return {fact[:-1] + (decode(fact[-1]),) for fact in solver.canonical_facts()}
+
+
 @pytest.fixture(scope="module")
 def table1_cfg():
     source = generate_package(
@@ -188,13 +203,14 @@ def table1_cfg():
 
 def test_compiled_checker_matches_object_on_table1_workload(table1_cfg):
     prop = full_privilege_property()
-    obj = AnnotatedChecker(table1_cfg, prop, compiled=False)
-    comp = AnnotatedChecker(table1_cfg, prop, compiled=True)
+    obj = AnnotatedChecker(table1_cfg, prop, algebra=MonoidAlgebra(prop.machine))
+    comp = AnnotatedChecker(table1_cfg, prop)
+    assert isinstance(comp.solver, FlatSolver)
     obj_result, comp_result = obj.check(), comp.check()
     assert obj_result.has_violation == comp_result.has_violation
     assert obj_result.violation_lines() == comp_result.violation_lines()
     assert obj.solver.fact_count() == comp.solver.fact_count()
-    assert _solved_form(obj.solver) == _solved_form(comp.solver)
+    assert _canonical_form(obj.solver) == _canonical_form(comp.solver)
 
 
 def test_compiled_flow_matches_object_on_fig11():
@@ -217,11 +233,11 @@ def test_compiled_flow_matches_object_on_fig11():
 def test_compiled_checker_agrees_on_random_programs(seed):
     cfg = build_cfg(random_program(seed))
     prop = simple_privilege_property()
-    obj = AnnotatedChecker(cfg, prop)
-    comp = AnnotatedChecker(cfg, prop, compiled=True, record_reasons=False)
+    obj = AnnotatedChecker(cfg, prop, algebra=MonoidAlgebra(prop.machine))
+    comp = AnnotatedChecker(cfg, prop)
     assert obj.check().has_violation == comp.check().has_violation
     assert obj.solver.fact_count() == comp.solver.fact_count()
-    assert _solved_form(obj.solver) == _solved_form(comp.solver)
+    assert _canonical_form(obj.solver) == _canonical_form(comp.solver)
 
 
 @given(st.integers(min_value=0, max_value=100_000))
@@ -240,15 +256,23 @@ def test_compiled_dataflow_agrees_on_random_programs(seed):
 @given(st.integers(min_value=0, max_value=100_000))
 @settings(max_examples=20, deadline=None)
 def test_record_reasons_off_changes_no_facts(seed):
+    """The flat core (no provenance, the checker's default) and the
+    provenance-recording re-solve behind its witness traces derive the
+    same facts over the same compiled algebra."""
     cfg = build_cfg(random_program(seed))
     prop = simple_privilege_property()
-    with_reasons = AnnotatedChecker(cfg, prop, record_reasons=True)
-    without = AnnotatedChecker(cfg, prop, record_reasons=False)
+    without = AnnotatedChecker(cfg, prop)
+    with_reasons = without.reachability().solver
+    assert isinstance(with_reasons, Solver)
+    assert with_reasons.algebra is without.algebra
+    reference = AnnotatedChecker(cfg, prop, algebra=MonoidAlgebra(prop.machine))
     assert (
-        with_reasons.check().has_violation == without.check().has_violation
+        reference.check().has_violation == without.check().has_violation
     ), f"seed {seed}"
-    assert with_reasons.solver.fact_count() == without.solver.fact_count()
-    assert not without.solver._reasons
+    assert with_reasons.fact_count() == without.solver.fact_count()
+    assert _canonical_form(with_reasons) == _canonical_form(without.solver)
+    assert with_reasons._reasons
+    assert not without.solver.record_reasons
 
 
 # -- batching and dedup stats -------------------------------------------------

@@ -246,10 +246,10 @@ class TestEquivalence:
     def test_object_and_compiled_agree_with_elim_on(self, seed):
         cfg = build_cfg(random_program(seed))
         prop = simple_privilege_property()
-        obj = AnnotatedChecker(cfg, prop, compiled=False).check().has_violation
-        comp = AnnotatedChecker(
-            cfg, prop, compiled=True, record_reasons=False
+        obj = AnnotatedChecker(
+            cfg, prop, algebra=MonoidAlgebra(prop.machine)
         ).check().has_violation
+        comp = AnnotatedChecker(cfg, prop).check().has_violation
         assert obj == comp, seed
 
 

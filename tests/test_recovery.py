@@ -119,9 +119,7 @@ class TestRecoveryEquivalence:
         )
         cfg = build_cfg(final)
         for cycle_elim in (True, False):
-            flat = AnnotatedChecker(
-                cfg, prop, flat=True, compiled=True, cycle_elim=cycle_elim
-            )
+            flat = AnnotatedChecker(cfg, prop, cycle_elim=cycle_elim)
             assert flat.has_violation() == result["has_violation"]
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
