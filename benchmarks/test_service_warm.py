@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from benchmarks._util import report, timed
 from repro.cfg import build_cfg
-from repro.core.persist import load_solver
+from repro.core.persist import load_solver, read_snapshot
 from repro.modelcheck import PROPERTY_FACTORIES, AnnotatedChecker
 from repro.service import AnalysisEngine
 from repro.synth.programs import PackageSpec, generate_package
@@ -83,7 +83,8 @@ def test_cold_vs_warm_latency(tmp_path):
     prop = PROPERTY_FACTORIES[PROPERTY]()
     _, solve_time = best_of(lambda: AnnotatedChecker(cfg, prop))
     (snapshot_file,) = list(tmp_path.iterdir())
-    snapshot_text = snapshot_file.read_text()
+    # the file carries a checksum header that only read_snapshot strips
+    snapshot_text = read_snapshot(snapshot_file)
     _, load_time = best_of(lambda: load_solver(snapshot_text))
 
     # the acceptance criterion: warm starts measurably beat cold solving

@@ -191,20 +191,9 @@ class AnnotatedChecker:
         budget: Budget | None = None,
         cycle_elim: bool = True,
         track_redundant: bool = False,
-        shards: int = 1,
-        shard_executor: Any | None = None,
-        partition: str = "greedy",
     ):
         self.cfg = cfg
         self.property = prop
-        self._shards = max(1, shards)
-        self._shard_executor = shard_executor
-        self._partition = partition
-        #: The :class:`repro.core.partition.ShardedSolution` when the
-        #: encoding was solved with ``shards > 1`` (None otherwise).
-        self.sharded: Any | None = None
-        if self._shards > 1 and solver is not None:
-            raise ValueError("shards and a warm-start solver are exclusive")
         if solver is not None:
             self.algebra = solver.algebra
             self.solver = solver
@@ -221,15 +210,7 @@ class AnnotatedChecker:
                 self.algebra = CompiledMonoidAlgebra(prop.machine)
             else:
                 self.algebra = MonoidAlgebra(prop.machine, eager=False)
-            if self._shards > 1:
-                # Deferred: _encode routes the whole batch through
-                # repro.core.partition.solve_sharded and installs the
-                # merged solver (flat whenever the algebra is compiled).
-                # Sharded solves record no provenance.
-                self._shard_budget = budget
-                self._shard_cycle_elim = cycle_elim
-                self.solver = None  # type: ignore[assignment]
-            elif getattr(self.algebra, "identity_index", None) is not None:
+            if getattr(self.algebra, "identity_index", None) is not None:
                 self.solver = FlatSolver(
                     self.algebra,
                     budget=budget,
@@ -313,23 +294,6 @@ class AnnotatedChecker:
     def _encode(self) -> None:
         batch = self._batch()
         self._constraints = len(batch)
-        if self._shards > 1:
-            # Sharded solving: partition the encoded graph, solve the
-            # regions (optionally on an executor), stitch the frontier,
-            # and query the merged solved form.
-            from repro.core.partition import solve_sharded
-
-            self.sharded = solve_sharded(
-                batch,
-                self.algebra,
-                shards=self._shards,
-                cycle_elim=self._shard_cycle_elim,
-                budget=self._shard_budget,
-                executor=self._shard_executor,
-                partition=self._partition,
-            )
-            self.solver = self.sharded.merged()
-            return
         # One drain for the whole program instead of one per constraint.
         self.solver.add_many(batch)
 
@@ -345,12 +309,11 @@ class AnnotatedChecker:
         ids agree), and the result is kept.  The verdict queries never
         need it.  The re-solve runs without a budget: it repeats a solve
         that has already finished, and the budget the checker holds may
-        belong to an earlier request.  Sharded solves keep their empty
-        traces.
+        belong to an earlier request.
         """
         if self._reachability is None:
             solver = self.solver
-            if self._flat() and self.sharded is None:
+            if self._flat():
                 solver = Solver(self.algebra, cycle_elim=self.solver.cycle_elim)
                 solver.add_many(self._batch())
             self._reachability = Reachability(solver, through_constructors=True)

@@ -104,8 +104,8 @@ class AsyncAnalysisServer:
 
     ``engine`` is the *parent* engine: it owns the journal and serves
     ``patch`` and ``stats``; analysis ops run on ``pool`` (built here
-    when not supplied, with ``workers``/``preload``/``shards``/
-    ``partition`` forwarded).  The parent engine and the pool share one
+    when not supplied, with ``workers``/``preload`` forwarded).  The
+    parent engine and the pool share one
     :class:`Metrics` instance, so parent-side counters and the merged
     worker snapshots land in the same ``stats`` report.
     """
@@ -116,8 +116,6 @@ class AsyncAnalysisServer:
         pool: DispatchPool | None = None,
         workers: int = 2,
         preload: Iterable[str] = (),
-        shards: int = 1,
-        partition: str = "greedy",
         timeout: float | None = None,
         max_queue: int = 32,
         breaker_threshold: int = 5,
@@ -125,9 +123,7 @@ class AsyncAnalysisServer:
         metrics: Metrics | None = None,
     ):
         if engine is None:
-            engine = AnalysisEngine(
-                metrics=metrics, shards=shards, partition=partition
-            )
+            engine = AnalysisEngine(metrics=metrics)
         if max_queue < 0:
             raise ValueError(f"max_queue must be >= 0, got {max_queue!r}")
         self.engine = engine
@@ -137,9 +133,7 @@ class AsyncAnalysisServer:
                 workers=workers,
                 preload=preload,
                 cache_size=engine.cache_size,
-                shards=shards,
                 metrics=self.metrics,
-                partition=partition,
             )
         self.pool = pool
         self.timeout = timeout

@@ -84,9 +84,17 @@ class TestCheckCommand:
         assert findings and steps
 
     def test_flat_flag_is_gone(self, vulnerable_c):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["check", vulnerable_c, "--property", "simple-privilege", "--flat"])
-        assert excinfo.value.code == 2
+        check = ["check", vulnerable_c, "--property", "simple-privilege"]
+        for argv in (
+            check + ["--flat"],
+            check + ["--shards", "2"],
+            check + ["--partition", "greedy"],
+            ["serve", "--shards", "2"],
+            ["serve", "--partition", "greedy"],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2, argv
 
     def test_collapse_cycles_flag(self, vulnerable_c):
         assert (
